@@ -135,7 +135,14 @@ fn run_path(w: &Workload, storm: Option<FaultConfig>) -> RunResult {
         Some(f) => (f.injected_errors(), f.injected_spikes(), f.reads()),
         None => (0, 0, 0),
     };
-    RunResult { frame_times_s, degraded_frames, source_reads, injected_errors, injected_spikes, metrics }
+    RunResult {
+        frame_times_s,
+        degraded_frames,
+        source_reads,
+        injected_errors,
+        injected_spikes,
+        metrics,
+    }
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {

@@ -1,5 +1,6 @@
 //! Multi-client serving benchmark: N simulated viewers replaying
-//! phase-shifted keyframe flights against ONE shared server.
+//! phase-shifted keyframe flights against ONE shared server, each over
+//! its own localhost TCP connection to the [`TcpServer`] event loop.
 //!
 //! Each client owns a [`viz_core::ClientFlight`] over the same closed
 //! keyframe path (the combustion-inspection flight from
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 use viz_core::{compute_visibility, ClientFlight};
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_geom::{CameraPath, CameraPose, ExplorationDomain, Keyframe, KeyframePath, Vec3};
-use viz_serve::{inproc_pair, serve_connection, ServeClient, ServeConfig, ServeMetrics, Server};
+use viz_serve::{ServeClient, ServeConfig, ServeMetrics, Server, TcpServer, TcpTransport};
 use viz_volume::{BlockId, BrickLayout, Dims3, MemBlockStore};
 
 struct Args {
@@ -136,25 +137,24 @@ fn run_clients(sc: &Scenario, n: usize, laps: usize, cfg: ServeConfig) -> RunRes
         FetchConfig { workers: 4, queue_cap: 16384, ..FetchConfig::default() },
     );
     let server = Server::new(Arc::new(engine), cfg);
+    let tcp = TcpServer::bind(server.clone(), "127.0.0.1:0").expect("bind");
+    let addr = tcp.local_addr().to_string();
 
     let steps = sc.poses.len();
     let stride = steps.div_ceil(n.max(1));
     // Everyone (clients + the timing thread below) lines up before the
     // measured lap.
     let barrier = Arc::new(Barrier::new(n + 1));
-    let mut conn_threads = Vec::with_capacity(n);
     let mut client_threads = Vec::with_capacity(n);
     for c in 0..n {
-        let (client_end, server_end) = inproc_pair();
-        let srv = server.clone();
-        conn_threads.push(std::thread::spawn(move || serve_connection(&srv, server_end)));
+        let addr = addr.clone();
         let base_flight =
             ClientFlight::from_visible(sc.poses.clone(), sc.visible.clone(), None, 0.0)
                 .rotated(c * stride);
         let gate = barrier.clone();
         let budget = sc.frame_budget;
         client_threads.push(std::thread::spawn(move || {
-            let mut client = ServeClient::new(client_end);
+            let mut client = ServeClient::new(TcpTransport::connect(&addr).expect("connect"));
             client.open(&format!("viewer-{c}")).expect("open");
             let mut r = ClientResult {
                 latencies_s: Vec::with_capacity(base_flight.len()),
@@ -234,10 +234,7 @@ fn run_clients(sc: &Scenario, n: usize, laps: usize, cfg: ServeConfig) -> RunRes
         out.unique_keys_summed += r.unique_keys;
     }
     out.wall_s = t0.elapsed().as_secs_f64();
-    for h in conn_threads {
-        h.join().expect("connection thread");
-    }
-    server.drain();
+    tcp.shutdown();
     out.source_reads = src.reads();
     out.cross_tag_coalesced = server.engine().metrics().cross_tag_coalesced;
     out.serve = server.metrics();
@@ -380,7 +377,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "serve",
-  "provenance": "Measured with a release cargo build of the workspace. N viewer threads replay phase-shifted keyframe flights over in-process transports against one server; sweep latencies are the steady interactive state (an untimed warm-up lap fills the shared pool, a barrier starts the measured lap, and each viewer paces itself to one frame per 33 ms budget with phase-staggered deadlines, as a real renderer would), the storm run is cold. Absolute times carry scheduler noise, but ratios (coalescing, shed, p99 scaling) are representative. Regenerate with `cargo run --release -p viz-bench --bin serve`.",
+  "provenance": "Measured with a release cargo build of the workspace. N viewer threads replay phase-shifted keyframe flights, each over its own localhost TCP connection to one TcpServer event loop; sweep latencies are the steady interactive state (an untimed warm-up lap fills the shared pool, a barrier starts the measured lap, and each viewer paces itself to one frame per 33 ms budget with phase-staggered deadlines, as a real renderer would), the storm run is cold. Absolute times carry scheduler noise and p99 varies from run to run (one event loop serves every viewer, so a descheduled loop delays all of them); ratios (coalescing, shed) are representative. Regenerate with `cargo run --release -p viz-bench --bin serve`.",
   "operating_point": {{
     "blocks": {blocks},
     "flight_steps": {steps},

@@ -1,16 +1,14 @@
-//! Session-scaling soak: the thread-per-connection model vs the reactor,
-//! from 64 real TCP sessions up to 10 000 in-process sessions with churn.
+//! Session-scaling soak of the serve front end, from 1 and 64 real TCP
+//! sessions up to 10 000 in-process sessions with churn.
 //!
-//! Three stages:
+//! Two stages:
 //!
-//! 1. **Thread baseline** — 64 TCP clients against the thread-per-conn
-//!    front end: demand round-trip p50/p99, resident-set delta per
-//!    session, process thread count while serving.
-//! 2. **Reactor parity** — the same 64-client TCP workload against the
-//!    poll-loop front end: latency must hold while the thread count
-//!    collapses to one loop.
-//! 3. **Reactor soak** — 1k/4k/10k sessions over the deterministic
-//!    in-process reactor with 10 % churn per round: every demand block
+//! 1. **TCP** — 1 and then 64 sequential clients against [`TcpServer`]:
+//!    demand round-trip p50/p99, resident-set delta per session, and the
+//!    process thread count while serving, which must not grow with the
+//!    session count (one event loop serves every connection).
+//! 2. **Soak** — 1k/4k/10k sessions over the deterministic
+//!    [`InProcServer`] with 10 % churn per round: every demand block
 //!    delivered, queues drained each round, memory per session and
 //!    probe latency recorded.
 //!
@@ -21,8 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_serve::{
-    InProcTransport, IoBackend, ReactorInProcServer, ServeClient, ServeConfig, Server, TcpFrontend,
-    TcpTransport,
+    InProcServer, InProcTransport, ServeClient, ServeConfig, Server, TcpServer, TcpTransport,
 };
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
@@ -108,21 +105,21 @@ fn summarize(times: &[f64]) -> Summary {
 }
 
 struct TcpRun {
-    backend: &'static str,
     sessions: usize,
     requests: u64,
     demand_errors: u64,
+    prefetch_shed: u64,
     lat: Summary,
     rss_per_session_kb: f64,
     threads_during: u64,
     wall_s: f64,
 }
 
-/// 64 sequential TCP clients, round-robin fetches: the per-request
-/// latency is a clean server-side round trip (no client thundering
-/// herd), and the process thread count isolates the front-end model —
-/// both backends see the identical wire workload.
-fn run_tcp(backend: IoBackend, sessions: usize, rounds: usize) -> TcpRun {
+/// `sessions` sequential TCP clients, round-robin fetches: the
+/// per-request latency is a clean server-side round trip (no client
+/// thundering herd), and the process thread count shows what the front
+/// end spends per connection.
+fn run_tcp(sessions: usize, rounds: usize) -> TcpRun {
     let src = Arc::new(InstrumentedSource::new(filled_store(), Duration::from_micros(100)));
     let engine = FetchEngine::spawn(
         src,
@@ -131,10 +128,10 @@ fn run_tcp(backend: IoBackend, sessions: usize, rounds: usize) -> TcpRun {
     );
     let server = Server::new(
         Arc::new(engine),
-        ServeConfig { backend, max_sessions: sessions + 1, ..ServeConfig::default() },
+        ServeConfig { max_sessions: sessions + 1, ..ServeConfig::default() },
     );
     let (rss_before, _) = proc_status();
-    let tcp = TcpFrontend::bind(server, "127.0.0.1:0").expect("bind");
+    let tcp = TcpServer::bind(server, "127.0.0.1:0").expect("bind");
     let addr = tcp.local_addr().to_string();
 
     let mut clients: Vec<ServeClient<TcpTransport>> = (0..sessions)
@@ -166,15 +163,13 @@ fn run_tcp(backend: IoBackend, sessions: usize, rounds: usize) -> TcpRun {
         client.close().expect("close");
     }
     drop(clients);
+    let prefetch_shed = tcp.server().metrics().prefetch_shed;
     tcp.shutdown();
     TcpRun {
-        backend: match backend {
-            IoBackend::Threads => "threads",
-            IoBackend::Reactor => "reactor",
-        },
         sessions,
         requests: (sessions * rounds) as u64,
         demand_errors: errors,
+        prefetch_shed,
         lat: summarize(&latencies),
         rss_per_session_kb: rss_during.saturating_sub(rss_before) as f64 / sessions as f64,
         threads_during,
@@ -210,7 +205,6 @@ fn run_inproc(sessions: usize, rounds: usize) -> InprocRun {
     let server = Server::new(
         Arc::new(engine),
         ServeConfig {
-            backend: IoBackend::Reactor,
             max_sessions: sessions + sessions / 10 + 1,
             engine_queue_target: 64 * 1024,
             shed_queue_depth: 1 << 20,
@@ -220,9 +214,9 @@ fn run_inproc(sessions: usize, rounds: usize) -> InprocRun {
         },
     );
     let (rss_before, _) = proc_status();
-    let mut reactor = ReactorInProcServer::new(server);
+    let mut reactor = InProcServer::new(server);
 
-    let open = |reactor: &mut ReactorInProcServer, n: usize| -> Vec<ServeClient<InProcTransport>> {
+    let open = |reactor: &mut InProcServer, n: usize| -> Vec<ServeClient<InProcTransport>> {
         let mut cohort: Vec<ServeClient<InProcTransport>> =
             (0..n).map(|_| ServeClient::new(reactor.connect())).collect();
         for c in &mut cohort {
@@ -313,19 +307,19 @@ fn run_inproc(sessions: usize, rounds: usize) -> InprocRun {
 fn tcp_json(r: &TcpRun) -> String {
     format!(
         r#"    {{
-      "backend": "{backend}",
       "sessions": {n},
       "requests": {reqs},
       "demand_errors": {errs},
+      "prefetch_shed": {shed},
       "demand_ms": {{ "p50": {p50:.3}, "p99": {p99:.3}, "mean": {mean:.3} }},
       "rss_per_session_kb": {rss:.1},
       "process_threads": {threads},
       "wall_s": {wall:.3}
     }}"#,
-        backend = r.backend,
         n = r.sessions,
         reqs = r.requests,
         errs = r.demand_errors,
+        shed = r.prefetch_shed,
         p50 = r.lat.p50_ms,
         p99 = r.lat.p99_ms,
         mean = r.lat.mean_ms,
@@ -370,36 +364,30 @@ fn inproc_json(r: &InprocRun) -> String {
 
 fn main() {
     let args = parse_args();
-    let (tcp_n, tcp_rounds, soak_counts, soak_rounds) =
-        if args.fast { (16, 4, vec![500], 3) } else { (64, 20, vec![1_000, 4_000, 10_000], 5) };
+    let (tcp_counts, tcp_rounds, soak_counts, soak_rounds) = if args.fast {
+        (vec![1, 16], 4, vec![500], 3)
+    } else {
+        (vec![1, 64], 20, vec![1_000, 4_000, 10_000], 5)
+    };
 
     eprintln!("soak: {STORE_KEYS} blocks x {BLOCK_LEN} f32, 100 us reads");
-    let threads_tcp = run_tcp(IoBackend::Threads, tcp_n, tcp_rounds);
-    eprintln!(
-        "  threads-tcp N={}: demand p50 {:.2} ms p99 {:.2} ms, {:.1} kB/session, {} threads",
-        threads_tcp.sessions,
-        threads_tcp.lat.p50_ms,
-        threads_tcp.lat.p99_ms,
-        threads_tcp.rss_per_session_kb,
-        threads_tcp.threads_during
-    );
-    let reactor_tcp = run_tcp(IoBackend::Reactor, tcp_n, tcp_rounds);
-    eprintln!(
-        "  reactor-tcp N={}: demand p50 {:.2} ms p99 {:.2} ms, {:.1} kB/session, {} threads",
-        reactor_tcp.sessions,
-        reactor_tcp.lat.p50_ms,
-        reactor_tcp.lat.p99_ms,
-        reactor_tcp.rss_per_session_kb,
-        reactor_tcp.threads_during
-    );
-    assert_eq!(threads_tcp.demand_errors, 0);
-    assert_eq!(reactor_tcp.demand_errors, 0);
+    let mut tcps = Vec::new();
+    for &n in &tcp_counts {
+        let r = run_tcp(n, tcp_rounds);
+        eprintln!(
+            "  tcp N={}: demand p50 {:.2} ms p99 {:.2} ms, {:.1} kB/session, {} threads",
+            r.sessions, r.lat.p50_ms, r.lat.p99_ms, r.rss_per_session_kb, r.threads_during
+        );
+        assert_eq!(r.demand_errors, 0, "tcp demand errors at N={n}");
+        assert_eq!(r.prefetch_shed, 0, "tcp prefetch shed at N={n}");
+        tcps.push(r);
+    }
 
     let mut soaks = Vec::new();
     for &n in &soak_counts {
         let r = run_inproc(n, soak_rounds);
         eprintln!(
-            "  reactor-soak N={}: probe p50 {:.3} ms p99 {:.3} ms, {:.0} burst req/s, \
+            "  inproc-soak N={}: probe p50 {:.3} ms p99 {:.3} ms, {:.0} burst req/s, \
              {:.2} kB/session, {} threads, {} opened",
             r.sessions,
             r.probe.p50_ms,
@@ -414,51 +402,29 @@ fn main() {
         soaks.push(r);
     }
 
-    // Acceptance gates (full run only): the reactor sustains >= 1k
-    // sessions with demand p99 within 2x of the 64-session thread-model
-    // figure, on strictly fewer threads and less memory per session.
+    // Acceptance gates (full run only): 1k in-process sessions keep probe
+    // p99 within 2x of the 64-session TCP p99, and the TCP front end runs
+    // on the same threads at 1 and at 64 sessions.
     if !args.fast {
-        let base_p99 = threads_tcp.lat.p99_ms;
+        let (one, many) = (&tcps[0], &tcps[1]);
         let big = &soaks[0]; // N = 1000
         assert!(
-            big.probe.p99_ms <= base_p99 * 2.0,
-            "1k-session reactor probe p99 {:.3} ms blew past 2x the 64-session \
-             thread-model p99 {base_p99:.3} ms",
-            big.probe.p99_ms
+            big.probe.p99_ms <= many.lat.p99_ms * 2.0,
+            "1k-session probe p99 {:.3} ms blew past 2x the 64-session TCP p99 {:.3} ms",
+            big.probe.p99_ms,
+            many.lat.p99_ms
         );
-        assert!(
-            reactor_tcp.lat.p99_ms <= base_p99 * 2.0,
-            "reactor TCP p99 {:.3} ms lost parity with the thread model's {base_p99:.3} ms",
-            reactor_tcp.lat.p99_ms
-        );
-        for r in &soaks {
-            assert!(
-                r.threads_during < threads_tcp.threads_during,
-                "reactor at N={} used {} threads, thread model used {}",
-                r.sessions,
-                r.threads_during,
-                threads_tcp.threads_during
-            );
-            if r.rss_per_session_kb > 0.0 && threads_tcp.rss_per_session_kb > 0.0 {
-                assert!(
-                    r.rss_per_session_kb < threads_tcp.rss_per_session_kb,
-                    "reactor at N={} used {:.2} kB/session, thread model {:.2}",
-                    r.sessions,
-                    r.rss_per_session_kb,
-                    threads_tcp.rss_per_session_kb
-                );
-            }
-        }
-        assert!(
-            reactor_tcp.threads_during < threads_tcp.threads_during,
-            "the reactor TCP front end must run on fewer threads"
+        assert_eq!(
+            one.threads_during, many.threads_during,
+            "TCP front-end threads grew from 1 to {} sessions",
+            many.sessions
         );
     }
 
     let json = format!(
         r#"{{
   "bench": "reactor_soak",
-  "provenance": "Measured with a release cargo build of the workspace. TCP stages run {tcp_n} sequential localhost clients against each front end (identical wire workload; per-request latency is a full round trip); soak stages run the deterministic in-process reactor with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release -p viz-bench --bin soak`.",
+  "provenance": "Measured with a release cargo build of the workspace. TCP stages run 1 and then {tcp_n} sequential localhost clients against the TcpServer event loop (per-request latency is a full round trip); soak stages run the deterministic InProcServer with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release -p viz-bench --bin soak`.",
   "operating_point": {{
     "store_keys": {keys},
     "block_len_f32": {bl},
@@ -479,10 +445,10 @@ fn main() {
 "#,
         keys = STORE_KEYS,
         bl = BLOCK_LEN,
-        tcp_n = tcp_n,
+        tcp_n = tcp_counts[1],
         tcp_rounds = tcp_rounds,
         soak_rounds = soak_rounds,
-        tcp_entries = [tcp_json(&threads_tcp), tcp_json(&reactor_tcp)].join(",\n"),
+        tcp_entries = tcps.iter().map(tcp_json).collect::<Vec<_>>().join(",\n"),
         soak_entries = soaks.iter().map(inproc_json).collect::<Vec<_>>().join(",\n"),
     );
     std::fs::write(&args.out, &json).expect("write results");

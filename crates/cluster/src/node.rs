@@ -33,9 +33,10 @@ use std::io;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
-use viz_serve::proto::{errkind_code, PING_FROM_CLIENT};
+use viz_serve::proto::errkind_code;
 use viz_serve::{
-    handle_request, BlockReply, Outcome, Request, RequestDispatch, Response, ServeConfig, Server,
+    handle_request, BlockReply, Deferred, Outcome, Request, RequestDispatch, Response, ServeConfig,
+    Server,
 };
 use viz_telemetry::{instant, EventKind as Ev};
 use viz_volume::{BlockKey, BlockSource};
@@ -321,6 +322,12 @@ impl BlockSource for RoutedSource {
 /// One sharded serve node (see module docs). Implements
 /// [`RequestDispatch`] so a [`viz_serve::TcpServer::bind_with`] front end
 /// routes every decoded request through the cluster layer.
+///
+/// That front end runs every connection on one event-loop thread, so
+/// dispatch never waits on a peer, and a `PeerFetch`'s direct storage
+/// reads run in an [`Outcome::Deferred`] unless the node is
+/// deterministic (where the in-process transport serves each frame on
+/// the caller's thread).
 pub struct ClusterNode {
     id: NodeId,
     server: Arc<Server>,
@@ -474,47 +481,61 @@ impl ClusterNode {
     /// thread — the deterministic in-process transport. Fetches pump the
     /// scheduler and step the inline engine to idle (recursing into peer
     /// nodes through their own `serve_frame` when a read forwards).
-    /// Replies at the requester's claimed protocol version, and stamps
-    /// every telemetry event emitted while serving with this node's id.
+    /// Stamps every telemetry event emitted while serving with this
+    /// node's id.
     pub fn serve_frame(&self, frame: &[u8]) -> Vec<u8> {
         viz_telemetry::with_node(self.node_tag(), || {
-            let mut ver = viz_serve::proto::PROTO_VERSION;
-            let resp = match viz_serve::proto::decode_request_full(frame) {
-                Ok((v, req)) => {
-                    ver = v;
-                    match self.dispatch(&self.server, req) {
-                        Outcome::Ready(r) => r,
-                        Outcome::Fetch(p) => {
-                            self.server.pump();
-                            if self.cfg.deterministic {
-                                self.server.engine().run_until_idle();
-                                p.resolve_now(&self.server)
-                            } else {
-                                p.wait(&self.server)
-                            }
+            let resp = match viz_serve::proto::decode_request(frame) {
+                Ok(req) => match self.dispatch(&self.server, req) {
+                    Outcome::Ready(r) => r,
+                    Outcome::Fetch(p) => {
+                        self.server.pump();
+                        if self.cfg.deterministic {
+                            self.server.engine().run_until_idle();
+                            p.resolve_now(&self.server)
+                        } else {
+                            p.wait(&self.server)
                         }
                     }
-                }
+                    Outcome::Deferred(d) => d.wait(),
+                },
                 Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
             };
-            viz_serve::proto::encode_response_versioned(&resp, ver)
+            viz_serve::proto::encode_response(&resp)
         })
     }
 
     /// Answer a `PeerFetch` without engine submission: straight local
     /// reads (shared storage), used past the hop cap and under map skew.
-    fn peer_direct(&self, session: u32, demand: Vec<BlockKey>) -> Outcome {
+    /// The reads run on their own thread unless the node is
+    /// deterministic.
+    fn peer_direct(&self, session: u32, demand: Vec<BlockKey>, trace: u64) -> Outcome {
         self.server.record_peer_direct(demand.len() as u64);
-        let results = self.local.read_blocks(&demand);
-        let blocks = demand
-            .into_iter()
-            .zip(results)
-            .map(|(key, r)| BlockReply {
-                key,
-                result: r.map(Arc::new).map_err(|e| errkind_code(e.kind())),
-            })
-            .collect();
-        Outcome::Ready(Response::FetchReply { session, blocks, shed: 0, downgraded: 0 })
+        let local = self.local.clone();
+        let read = move || {
+            let results = if trace != 0 {
+                viz_telemetry::with_trace(trace, || local.read_blocks(&demand))
+            } else {
+                local.read_blocks(&demand)
+            };
+            let blocks = demand
+                .into_iter()
+                .zip(results)
+                .map(|(key, r)| BlockReply {
+                    key,
+                    result: r.map(Arc::new).map_err(|e| errkind_code(e.kind())),
+                })
+                .collect();
+            Response::FetchReply { session, blocks, shed: 0, downgraded: 0 }
+        };
+        if self.cfg.deterministic {
+            Outcome::Ready(read())
+        } else {
+            let tag = self.node_tag();
+            Outcome::Deferred(Deferred::spawn(&self.server, move || {
+                viz_telemetry::with_node(tag, read)
+            }))
+        }
     }
 }
 
@@ -539,18 +560,19 @@ impl ClusterNode {
                 // cluster layer knows which node it is.
                 Outcome::Ready(Response::TelemetryReply(server.wire_telemetry(self.id.0)))
             }
-            Request::Ping { from, map_version } => {
-                // Anti-entropy runs in both directions: we pull if the
-                // sender is ahead; a behind sender pulls off our Pong.
+            Request::Ping { .. } => {
+                // Anti-entropy: a behind sender pulls off our Pong. If we
+                // are the one behind, our own heartbeat's Pong from the
+                // sender says so and that pull runs on the heartbeat
+                // thread: pulling here would hold the event loop on a
+                // peer round trip (and two nodes pinging each other
+                // would each wait on the other's loop).
                 // Deliberately NOT positive membership evidence: under
                 // an asymmetric partition the isolated node's outbound
                 // pings still arrive, and admitting them would keep
                 // clearing the suspicion that routes reads around it.
                 // Evidence is directional — only our own probe
                 // succeeding proves *we* can reach the peer.
-                if from != PING_FROM_CLIENT && map_version > self.shared.map().version() {
-                    let _ = self.pull_map_from(NodeId(from));
-                }
                 Outcome::Ready(Response::Pong {
                     node: self.id.0,
                     map_version: self.shared.map().version(),
@@ -564,10 +586,8 @@ impl ClusterNode {
                     // Normal ownership: resolve through the engine so
                     // concurrent peers coalesce and the pool warms.
                     handle_request(server, Request::PeerFetch { session, hops, demand, trace })
-                } else if trace.is_some() {
-                    viz_telemetry::with_trace(trace.trace, || self.peer_direct(session, demand))
                 } else {
-                    self.peer_direct(session, demand)
+                    self.peer_direct(session, demand, trace.trace)
                 }
             }
             other => handle_request(server, other),

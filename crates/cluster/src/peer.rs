@@ -250,9 +250,9 @@ impl PeerClient {
     }
 
     /// [`PeerClient::ping`] that also returns the peer's telemetry clock
-    /// (`now_ns`; 0 from a v1 peer) — paired with the local send/receive
-    /// instants it yields an RTT-midpoint clock-offset estimate for
-    /// cross-node trace alignment.
+    /// (`now_ns`) — paired with the local send/receive instants it yields
+    /// an RTT-midpoint clock-offset estimate for cross-node trace
+    /// alignment.
     pub fn ping_timed(&mut self, map_version: u64) -> io::Result<(u32, u64, u64)> {
         instant(Ev::HeartbeatSent, u64::from(self.peer.0), map_version);
         let from = self.self_id.0;

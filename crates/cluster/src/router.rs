@@ -530,8 +530,7 @@ impl Router {
     /// Estimate every live node's clock offset from one `Ping` round
     /// trip each (RTT-midpoint,
     /// [`viz_telemetry::collect::offset_from_rtt`]); the estimates align
-    /// scraped drains onto the router's timeline. A v1 node (reporting
-    /// `now_ns = 0`) keeps its previous estimate. Returns nodes synced.
+    /// scraped drains onto the router's timeline. Returns nodes synced.
     pub fn sync_clocks(&mut self) -> usize {
         let my_version = self.map.version();
         let mut synced = 0;
@@ -543,11 +542,9 @@ impl Router {
             let req = Request::Ping { from: PING_FROM_CLIENT, map_version: my_version };
             if let Ok(Response::Pong { now_ns, .. }) = self.round_trip(*node, &req) {
                 let t_recv = viz_telemetry::now_ns();
-                if now_ns != 0 {
-                    let off = viz_telemetry::collect::offset_from_rtt(t_send, t_recv, now_ns);
-                    self.offsets.insert(node.0, off);
-                    synced += 1;
-                }
+                let off = viz_telemetry::collect::offset_from_rtt(t_send, t_recv, now_ns);
+                self.offsets.insert(node.0, off);
+                synced += 1;
             }
         }
         synced

@@ -270,8 +270,8 @@ fn stale_router_learns_newer_map_from_heartbeat() {
 }
 
 /// Nodes converge divergent map versions through heartbeat
-/// anti-entropy, in both directions: a behind *receiver* pulls off the
-/// Ping's advertised version, a behind *sender* pulls off the Pong's.
+/// anti-entropy: each behind node pulls off the Pong of the peer that is
+/// ahead, within one heartbeat round.
 #[test]
 fn nodes_converge_map_versions_through_heartbeats() {
     let cluster = TestCluster::new(3, ShardStrategy::Ring);

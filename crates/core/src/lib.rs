@@ -19,10 +19,6 @@
 //! - [`flight`] — per-client camera flights: one viewer's pose sequence +
 //!   table handles, turned into per-frame demand/prefetch requests for the
 //!   serve layer's session registry.
-//! - [`overlap`] — compatibility wrapper over the `viz-fetch` engine: the
-//!   original single-worker [`Prefetcher`] API for disk-backed examples.
-//!   New code should use `viz_fetch` directly (worker pools,
-//!   entropy-priority prefetch, coalescing, cancellation).
 //! - [`report`] — figure/table emission helpers for the bench harness.
 //!
 //! # Example — the paper's pipeline end to end
@@ -79,7 +75,6 @@ pub mod histable;
 pub mod importance;
 pub mod lod;
 pub mod multivar;
-pub mod overlap;
 pub mod persist;
 pub mod prediction;
 pub mod radius;
@@ -102,7 +97,6 @@ pub use lod::{run_lod_session, LodPolicy, LodReport};
 pub use multivar::{
     run_multivar_session, ExplorationScript, MultiVarReport, MultiVarStrategy, ScriptStep,
 };
-pub use overlap::{BlockPool, PrefetchStats, Prefetcher};
 pub use persist::{load_tables, save_tables};
 pub use prediction::extrapolate_pose;
 pub use radius::RadiusModel;
@@ -116,3 +110,6 @@ pub use session::{
     PredictorKind, RenderModel, SessionConfig, SessionReport, StepMetrics, Strategy,
 };
 pub use trace::ReuseProfile;
+/// The resident block pool Algorithm 1's overlapped prefetch fills:
+/// [`viz_fetch`]'s sharded pool, re-exported for callers of this crate.
+pub use viz_fetch::BlockPool;

@@ -795,6 +795,12 @@ impl FetchEngine {
         *self.shared.wake.lock().unwrap_or_else(PoisonError::into_inner) = hook;
     }
 
+    /// Call the completion hook now, for work finished outside the engine
+    /// that a loop parked on the hook is waiting for.
+    pub fn notify_completion(&self) {
+        wake_hook(&self.shared);
+    }
+
     /// Wait until every queued and in-flight request has been serviced,
     /// cancelled, or dropped. In deterministic mode this steps the
     /// scheduler to idle on the calling thread.

@@ -28,7 +28,10 @@ fn store_with(n: u32) -> Arc<MemBlockStore> {
     Arc::new(s)
 }
 
-fn det_engine(source: Arc<FaultInjectingSource>, cfg: FetchConfig) -> (FetchEngine, Arc<BlockPool>) {
+fn det_engine(
+    source: Arc<FaultInjectingSource>,
+    cfg: FetchConfig,
+) -> (FetchEngine, Arc<BlockPool>) {
     let pool = Arc::new(BlockPool::new());
     let engine = FetchEngine::spawn(source as Arc<dyn BlockSource>, pool.clone(), cfg);
     (engine, pool)
@@ -367,10 +370,8 @@ fn threaded_shutdown_under_load_resolves_blocked_waiters() {
 
     // Tickets outlive the engine: move each onto its own blocked waiter
     // thread, then shut down while the backlog is deep.
-    let waiters: Vec<std::thread::JoinHandle<bool>> = tickets
-        .into_iter()
-        .map(|t| std::thread::spawn(move || t.wait().is_ok()))
-        .collect();
+    let waiters: Vec<std::thread::JoinHandle<bool>> =
+        tickets.into_iter().map(|t| std::thread::spawn(move || t.wait().is_ok())).collect();
     std::thread::sleep(Duration::from_millis(10));
     let m = eng.shutdown();
 
@@ -416,8 +417,7 @@ fn fault_storm_completes_100_step_camera_path_without_stalls() {
         // The camera advances one block per step: demand the window,
         // prefetch the predicted next window, cancel stale predictions.
         eng.bump_generation();
-        let demand: Vec<BlockKey> =
-            carry.drain(..).chain((step..step + WINDOW).map(key)).collect();
+        let demand: Vec<BlockKey> = carry.drain(..).chain((step..step + WINDOW).map(key)).collect();
         let tickets: Vec<(BlockKey, Ticket)> =
             demand.iter().map(|&k| (k, eng.request(k))).collect();
         for i in step + WINDOW..step + 2 * WINDOW {

@@ -1,12 +1,12 @@
 //! A typed client over any [`Transport`]: encodes requests, decodes
 //! replies, tracks the open session.
 //!
-//! The blocking calls (`open`, `fetch`, …) suit threaded use against a
-//! [`crate::server::TcpServer`] or a dedicated
-//! [`crate::server::serve_connection`] thread. The split `send_*` /
-//! `recv_*` halves exist for the deterministic tests, where the request
-//! must be on the wire *before* the test steps the
-//! [`crate::server::InProcServer`], and the reply is only read after.
+//! The blocking calls (`open`, `fetch`, …) suit a client thread talking
+//! to a [`crate::TcpServer`]. The split `send_*` / `recv_*` halves let a
+//! caller put requests on the wire *before* anything serves them: the
+//! deterministic tests send, step the [`crate::InProcServer`] with
+//! `tick`, and only then read the replies, and a TCP client can pipeline
+//! several requests on one connection.
 
 use crate::proto::{
     decode_response, encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,
@@ -173,8 +173,8 @@ impl<T: Transport> ServeClient<T> {
     }
 
     /// [`ServeClient::ping`] that also returns the responder's telemetry
-    /// clock (`now_ns`, v2) — the raw material for an RTT-midpoint clock
-    /// offset estimate. A v1 responder reports 0.
+    /// clock (`now_ns`) — the raw material for an RTT-midpoint clock
+    /// offset estimate.
     pub fn ping_timed(
         &mut self,
         from: u32,

@@ -19,13 +19,14 @@
 //!   pressure, graceful drain, and per-client telemetry through the
 //!   `viz_telemetry` rings. Duplicate keys across *different* clients
 //!   coalesce into one source read inside the shared engine.
-//! - [`reactor`] — the scaling front end: every connection on one
-//!   poll-driven event loop (demand deadlines on a timer wheel, no
-//!   thread per client), selected by [`ServeConfig::backend`] via
-//!   [`TcpFrontend`]; its in-process twin drives thousands of virtual
-//!   sessions on a virtual clock for the soak suite.
+//! - [`reactor`] — the front end: one event loop runs every connection's
+//!   dispatch → park → unpark/expire → reap cycle, with demand deadlines
+//!   on a timer wheel and no thread per client. [`TcpServer`] drives it
+//!   with `poll(2)` and the wall clock; [`InProcServer`] drives the same
+//!   state machine over in-process pipes on a virtual clock, for
+//!   deterministic tests and the thousand-session soak suite.
 //! - [`client`] — a typed client over any transport, with split
-//!   send/recv halves for deterministic stepping.
+//!   send/recv halves for deterministic ticking and pipelining.
 //!
 //! ## Example
 //!
@@ -65,13 +66,12 @@ pub mod transport;
 pub use client::{ClientError, FetchOutcome, ServeClient};
 pub use proto::{
     BlockReply, HistSnapshot, ProtoError, Request, Response, TraceCtx, WireTelemetry,
-    MAX_FRAME_BYTES, MIN_PROTO_VERSION, PROTO_VERSION,
+    MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use reactor::{ReactorInProcServer, ReactorTcpServer, TcpFrontend};
+pub use reactor::{InProcServer, TcpServer};
 pub use registry::{SessionId, SessionView};
 pub use server::{
-    handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport,
-    InProcServer, IoBackend, LadderConfig, Outcome, PendingFetch, RequestDispatch, ServeConfig,
-    ServeError, ServeMetrics, Server, ShedReason, Submission, TcpServer,
+    handle_request, DefaultDispatch, Deferred, DrainReport, LadderConfig, Outcome, PendingFetch,
+    RequestDispatch, ServeConfig, ServeError, ServeMetrics, Server, ShedReason, Submission,
 };
 pub use transport::{inproc_pair, InProcTransport, TcpTransport, Transport};

@@ -15,16 +15,13 @@
 //!
 //! Corruption never panics: truncation, a flipped CRC byte, an unknown
 //! tag, and version skew each map to a distinct [`ProtoError`] variant,
-//! mirroring the persist codecs' corruption contract. A v3 client hitting
-//! a v2 server (or vice versa) gets [`ProtoError::VersionSkew`] and the
-//! server answers with a [`Response::Error`] carrying [`ERR_VERSION`]
-//! instead of dropping the connection.
+//! mirroring the persist codecs' corruption contract. A frame claiming
+//! any version but [`PROTO_VERSION`] — older or newer — decodes to
+//! [`ProtoError::VersionSkew`], and the server answers with a
+//! [`Response::Error`] carrying [`ERR_VERSION`] instead of dropping the
+//! connection.
 //!
-//! ## Version 2 (additive)
-//!
-//! v2 appends distributed-tracing fields; every v1 frame still decodes
-//! (the new fields default to zero) and [`encode_request_versioned`] at
-//! version 1 reproduces the v1 byte layout exactly:
+//! ## Tracing and telemetry fields
 //!
 //! - `Fetch` / `Advance` / `PeerFetch` carry a trailing [`TraceCtx`]
 //!   (trace id + parent span id) so server-side work is attributable to
@@ -34,9 +31,6 @@
 //!   merged traces.
 //! - `TelemetryGet`/`TelemetryReply` scrape a node's event rings,
 //!   summary histograms, and wire counters in one round trip.
-//!
-//! Servers answer at the version the request claimed, so a v1 client
-//! against a v2 server keeps working.
 
 use std::fmt;
 use std::io;
@@ -46,10 +40,8 @@ use viz_volume::{crc32, BlockId, BlockKey};
 
 /// Frame magic, first four body bytes.
 pub const MAGIC: [u8; 4] = *b"VSRV";
-/// Protocol version this build speaks.
+/// Protocol version this build speaks, and the only one it decodes.
 pub const PROTO_VERSION: u16 = 2;
-/// Oldest protocol version this build still decodes.
-pub const MIN_PROTO_VERSION: u16 = 1;
 /// Upper bound on one frame body; larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -73,10 +65,10 @@ const TAG_PONG: u8 = 0x87;
 const TAG_TELEMETRY_REPLY: u8 = 0x88;
 const TAG_ERROR: u8 = 0xFF;
 
-/// Distributed-trace context carried on v2 `Fetch`/`Advance`/`PeerFetch`
+/// Distributed-trace context carried on `Fetch`/`Advance`/`PeerFetch`
 /// frames: the 64-bit trace id minted by the originating client/Router
 /// and the parent span id within that trace. All-zero ([`TraceCtx::NONE`])
-/// means "untraced" — what every v1 frame decodes to.
+/// means "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// Trace id (0 = none).
@@ -212,7 +204,7 @@ pub enum Request {
         demand: Vec<BlockKey>,
         /// Prefetch keys with `T_important` priorities.
         prefetch: Vec<(BlockKey, f64)>,
-        /// Trace context (v2; [`TraceCtx::NONE`] on v1 frames).
+        /// Trace context ([`TraceCtx::NONE`] when untraced).
         trace: TraceCtx,
     },
     /// Advance the session's frame generation (camera stepped): queued
@@ -222,7 +214,7 @@ pub enum Request {
     Advance {
         /// Session to advance.
         session: u32,
-        /// Trace context (v2; [`TraceCtx::NONE`] on v1 frames).
+        /// Trace context ([`TraceCtx::NONE`] when untraced).
         trace: TraceCtx,
     },
     /// Snapshot server + engine counters.
@@ -242,7 +234,7 @@ pub enum Request {
         /// Demand keys to resolve on the owner.
         demand: Vec<BlockKey>,
         /// Trace context of the originating client request, so the
-        /// owner's work lands in the same cross-node trace (v2).
+        /// owner's work lands in the same cross-node trace.
         trace: TraceCtx,
     },
     /// Membership heartbeat: "I am alive, and my shard map is at this
@@ -259,7 +251,7 @@ pub enum Request {
     },
     /// Drain the responding node's telemetry plane — event rings (routed
     /// through the flight recorder's history on the way), per-span-kind
-    /// summary histograms, and wire counters — in one round trip (v2).
+    /// summary histograms, and wire counters — in one round trip.
     TelemetryGet,
 }
 
@@ -396,13 +388,12 @@ pub enum Response {
         node: u32,
         /// Responder's current shard-map version (0 = none installed).
         map_version: u64,
-        /// Responder's telemetry clock at answer time (v2; 0 on v1
-        /// frames). With the requester's local send/receive stamps this
-        /// yields an RTT-midpoint clock-offset estimate.
+        /// Responder's telemetry clock at answer time. With the
+        /// requester's local send/receive stamps this yields an
+        /// RTT-midpoint clock-offset estimate.
         now_ns: u64,
     },
-    /// One node's telemetry drain (v2), answering
-    /// [`Request::TelemetryGet`].
+    /// One node's telemetry drain, answering [`Request::TelemetryGet`].
     TelemetryReply(WireTelemetry),
     /// Typed failure; the connection stays usable.
     Error {
@@ -524,13 +515,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Wrap a body in the outer frame: `[len][crc][body]`.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+/// Finish a frame [`body_header`] opened: fill its `[len][crc]` header
+/// in place, so the body is never copied.
+fn frame(mut b: Vec<u8>) -> Vec<u8> {
+    let len = (b.len() - 8) as u32;
+    let crc = crc32(&b[8..]);
+    b[0..4].copy_from_slice(&len.to_le_bytes());
+    b[4..8].copy_from_slice(&crc.to_le_bytes());
+    b
 }
 
 /// Validate the outer frame of `buf` and return its body.
@@ -564,15 +556,18 @@ pub fn frame_body_len(header: &[u8; 8]) -> Result<usize, ProtoError> {
     Ok(len)
 }
 
-fn body_header(version: u16, tag: u8) -> Vec<u8> {
+/// Open a frame: room for the `[len][crc]` header that [`frame`] fills,
+/// then the body's magic, version and tag.
+fn body_header(tag: u8) -> Vec<u8> {
     let mut b = Vec::with_capacity(64);
+    b.extend_from_slice(&[0; 8]);
     b.extend_from_slice(&MAGIC);
-    put_u16(&mut b, version);
+    put_u16(&mut b, PROTO_VERSION);
     b.push(tag);
     b
 }
 
-fn open_body(buf: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
+fn open_body(buf: &[u8]) -> Result<(u8, Reader<'_>), ProtoError> {
     let body = frame_body(buf)?;
     let mut r = Reader::new(body);
     let magic: [u8; 4] = r.take(4)?.try_into().unwrap();
@@ -580,49 +575,37 @@ fn open_body(buf: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
         return Err(ProtoError::BadMagic(magic));
     }
     let version = r.u16()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(ProtoError::VersionSkew { got: version, supported: PROTO_VERSION });
     }
     let tag = r.u8()?;
-    Ok((tag, version, r))
+    Ok((tag, r))
 }
 
-fn put_trace(b: &mut Vec<u8>, version: u16, t: TraceCtx) {
-    if version >= 2 {
-        put_u64(b, t.trace);
-        put_u64(b, t.span);
-    }
+fn put_trace(b: &mut Vec<u8>, t: TraceCtx) {
+    put_u64(b, t.trace);
+    put_u64(b, t.span);
 }
 
-fn read_trace(r: &mut Reader<'_>, version: u16) -> Result<TraceCtx, ProtoError> {
-    if version >= 2 {
-        Ok(TraceCtx { trace: r.u64()?, span: r.u64()? })
-    } else {
-        Ok(TraceCtx::NONE)
-    }
+fn read_trace(r: &mut Reader<'_>) -> Result<TraceCtx, ProtoError> {
+    Ok(TraceCtx { trace: r.u64()?, span: r.u64()? })
 }
 
 /// Encode a request at [`PROTO_VERSION`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_request_versioned(req, PROTO_VERSION)
-}
-
-/// Encode a request claiming `version` — how compatibility probes and the
-/// version-skew tests manufacture frames from a future client.
-pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
     let mut b;
     match req {
         Request::Open { name } => {
-            b = body_header(version, TAG_OPEN);
+            b = body_header(TAG_OPEN);
             put_u16(&mut b, name.len() as u16);
             b.extend_from_slice(name.as_bytes());
         }
         Request::Close { session } => {
-            b = body_header(version, TAG_CLOSE);
+            b = body_header(TAG_CLOSE);
             put_u32(&mut b, *session);
         }
         Request::Fetch { session, generation, demand, prefetch, trace } => {
-            b = body_header(version, TAG_FETCH);
+            b = body_header(TAG_FETCH);
             put_u32(&mut b, *session);
             put_u64(&mut b, *generation);
             put_u32(&mut b, demand.len() as u32);
@@ -634,36 +617,36 @@ pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
                 put_key(&mut b, k);
                 put_u64(&mut b, pri.to_bits());
             }
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Advance { session, trace } => {
-            b = body_header(version, TAG_ADVANCE);
+            b = body_header(TAG_ADVANCE);
             put_u32(&mut b, *session);
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Stats => {
-            b = body_header(version, TAG_STATS);
+            b = body_header(TAG_STATS);
         }
         Request::MapGet => {
-            b = body_header(version, TAG_MAP_GET);
+            b = body_header(TAG_MAP_GET);
         }
         Request::PeerFetch { session, hops, demand, trace } => {
-            b = body_header(version, TAG_PEER_FETCH);
+            b = body_header(TAG_PEER_FETCH);
             put_u32(&mut b, *session);
             b.push(*hops);
             put_u32(&mut b, demand.len() as u32);
             for &k in demand {
                 put_key(&mut b, k);
             }
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Ping { from, map_version } => {
-            b = body_header(version, TAG_PING);
+            b = body_header(TAG_PING);
             put_u32(&mut b, *from);
             put_u64(&mut b, *map_version);
         }
         Request::TelemetryGet => {
-            b = body_header(version, TAG_TELEMETRY_GET);
+            b = body_header(TAG_TELEMETRY_GET);
         }
     }
     frame(b)
@@ -671,13 +654,7 @@ pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
 
 /// Decode a request frame.
 pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
-    decode_request_full(buf).map(|(_, req)| req)
-}
-
-/// Decode a request frame and report the protocol version it claimed, so
-/// servers can answer v1 clients with v1 replies.
-pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
-    let (tag, version, mut r) = open_body(buf)?;
+    let (tag, mut r) = open_body(buf)?;
     let req = match tag {
         TAG_OPEN => {
             let n = r.u16()? as usize;
@@ -704,12 +681,12 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
                 let k = r.key()?;
                 prefetch.push((k, f64::from_bits(r.u64()?)));
             }
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::Fetch { session, generation, demand, prefetch, trace }
         }
         TAG_ADVANCE => {
             let session = r.u32()?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::Advance { session, trace }
         }
         TAG_STATS => Request::Stats,
@@ -723,7 +700,7 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
             for _ in 0..n {
                 demand.push(r.key()?);
             }
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::PeerFetch { session, hops, demand, trace }
         }
         TAG_PING => Request::Ping { from: r.u32()?, map_version: r.u64()? },
@@ -731,30 +708,23 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
         t => return Err(ProtoError::UnknownTag(t)),
     };
     r.finish()?;
-    Ok((version, req))
+    Ok(req)
 }
 
 /// Encode a response at [`PROTO_VERSION`].
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_response_versioned(resp, PROTO_VERSION)
-}
-
-/// Encode a response claiming `version`, omitting fields the version
-/// predates — servers answer at the version the request claimed so v1
-/// clients keep decoding replies.
-pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
     let mut b;
     match resp {
         Response::OpenAck { session } => {
-            b = body_header(version, TAG_OPEN_ACK);
+            b = body_header(TAG_OPEN_ACK);
             put_u32(&mut b, *session);
         }
         Response::CloseAck { session } => {
-            b = body_header(version, TAG_CLOSE_ACK);
+            b = body_header(TAG_CLOSE_ACK);
             put_u32(&mut b, *session);
         }
         Response::FetchReply { session, blocks, shed, downgraded } => {
-            b = body_header(version, TAG_FETCH_REPLY);
+            b = body_header(TAG_FETCH_REPLY);
             put_u32(&mut b, *session);
             put_u32(&mut b, *shed);
             put_u32(&mut b, *downgraded);
@@ -777,12 +747,12 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             }
         }
         Response::AdvanceAck { session, generation } => {
-            b = body_header(version, TAG_ADVANCE_ACK);
+            b = body_header(TAG_ADVANCE_ACK);
             put_u32(&mut b, *session);
             put_u64(&mut b, *generation);
         }
         Response::StatsReply { counters } => {
-            b = body_header(version, TAG_STATS_REPLY);
+            b = body_header(TAG_STATS_REPLY);
             put_u32(&mut b, counters.len() as u32);
             for (name, value) in counters {
                 put_u16(&mut b, name.len() as u16);
@@ -791,21 +761,19 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             }
         }
         Response::MapReply { version: map_ver, map_bytes } => {
-            b = body_header(version, TAG_MAP_REPLY);
+            b = body_header(TAG_MAP_REPLY);
             put_u64(&mut b, *map_ver);
             put_u32(&mut b, map_bytes.len() as u32);
             b.extend_from_slice(map_bytes);
         }
         Response::Pong { node, map_version, now_ns } => {
-            b = body_header(version, TAG_PONG);
+            b = body_header(TAG_PONG);
             put_u32(&mut b, *node);
             put_u64(&mut b, *map_version);
-            if version >= 2 {
-                put_u64(&mut b, *now_ns);
-            }
+            put_u64(&mut b, *now_ns);
         }
         Response::TelemetryReply(t) => {
-            b = body_header(version, TAG_TELEMETRY_REPLY);
+            b = body_header(TAG_TELEMETRY_REPLY);
             put_u32(&mut b, t.node);
             put_u64(&mut b, t.now_ns);
             put_u64(&mut b, t.dropped);
@@ -841,7 +809,7 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             }
         }
         Response::Error { code, message } => {
-            b = body_header(version, TAG_ERROR);
+            b = body_header(TAG_ERROR);
             put_u16(&mut b, *code);
             put_u16(&mut b, message.len() as u16);
             b.extend_from_slice(message.as_bytes());
@@ -852,7 +820,7 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
 
 /// Decode a response frame.
 pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
-    let (tag, version, mut r) = open_body(buf)?;
+    let (tag, mut r) = open_body(buf)?;
     let resp = match tag {
         TAG_OPEN_ACK => Response::OpenAck { session: r.u32()? },
         TAG_CLOSE_ACK => Response::CloseAck { session: r.u32()? },
@@ -906,7 +874,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
         TAG_PONG => {
             let node = r.u32()?;
             let map_version = r.u64()?;
-            let now_ns = if version >= 2 { r.u64()? } else { 0 };
+            let now_ns = r.u64()?;
             Response::Pong { node, map_version, now_ns }
         }
         TAG_TELEMETRY_REPLY => {
@@ -1084,68 +1052,18 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let frame = encode_request_versioned(&Request::Stats, 3);
-        assert_eq!(
-            decode_request(&frame).unwrap_err(),
-            ProtoError::VersionSkew { got: 3, supported: PROTO_VERSION }
-        );
-        let frame = encode_request_versioned(&Request::Stats, 0);
-        assert_eq!(
-            decode_request(&frame).unwrap_err(),
-            ProtoError::VersionSkew { got: 0, supported: PROTO_VERSION }
-        );
-    }
-
-    #[test]
-    fn v1_frames_still_decode_with_defaulted_trace() {
-        // A v1 encode drops the trace tail; the v2 decoder must accept
-        // the frame and default the context to NONE.
-        for req in sample_requests() {
-            if matches!(req, Request::TelemetryGet) {
-                continue; // v2-only tag; a real v1 client never sends it
-            }
-            let frame = encode_request_versioned(&req, 1);
-            let (ver, got) = decode_request_full(&frame).unwrap();
-            assert_eq!(ver, 1);
-            let expect = match req {
-                Request::Fetch { session, generation, demand, prefetch, .. } => {
-                    Request::Fetch { session, generation, demand, prefetch, trace: TraceCtx::NONE }
-                }
-                Request::Advance { session, .. } => {
-                    Request::Advance { session, trace: TraceCtx::NONE }
-                }
-                Request::PeerFetch { session, hops, demand, .. } => {
-                    Request::PeerFetch { session, hops, demand, trace: TraceCtx::NONE }
-                }
-                other => other,
-            };
-            assert_eq!(got, expect);
+        for got in [0u16, 1, 3] {
+            // Claim `got` in the body's version field, then re-seal the
+            // frame so only the version is wrong.
+            let mut frame = encode_request(&Request::Stats);
+            frame[12..14].copy_from_slice(&got.to_le_bytes());
+            let crc = crc32(&frame[8..]);
+            frame[4..8].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode_request(&frame).unwrap_err(),
+                ProtoError::VersionSkew { got, supported: PROTO_VERSION }
+            );
         }
-        // Responses answered at v1 drop now_ns.
-        let pong = Response::Pong { node: 1, map_version: 11, now_ns: 777 };
-        let frame = encode_response_versioned(&pong, 1);
-        assert_eq!(
-            decode_response(&frame).unwrap(),
-            Response::Pong { node: 1, map_version: 11, now_ns: 0 }
-        );
-    }
-
-    #[test]
-    fn v1_encoding_is_byte_identical_to_the_v1_layout() {
-        // Golden v1 Advance frame: magic, version 1, tag 0x04, session 7.
-        let frame = encode_request_versioned(&Request::Advance { session: 7, trace: ctx(9, 9) }, 1);
-        let body = frame_body(&frame).unwrap();
-        let mut expect = Vec::new();
-        expect.extend_from_slice(b"VSRV");
-        expect.extend_from_slice(&1u16.to_le_bytes());
-        expect.push(0x04);
-        expect.extend_from_slice(&7u32.to_le_bytes());
-        assert_eq!(body, &expect[..]);
-        // And the v2 encoding of the same request is exactly 16 bytes
-        // (trace + span) longer.
-        let frame2 =
-            encode_request_versioned(&Request::Advance { session: 7, trace: ctx(9, 9) }, 2);
-        assert_eq!(frame_body(&frame2).unwrap().len(), expect.len() + 16);
     }
 
     #[test]
@@ -1156,9 +1074,7 @@ mod tests {
             demand: vec![key(1)],
             trace: ctx(0xD00D, 42),
         };
-        let (ver, got) = decode_request_full(&encode_request(&req)).unwrap();
-        assert_eq!(ver, PROTO_VERSION);
-        match got {
+        match decode_request(&encode_request(&req)).unwrap() {
             Request::PeerFetch { trace, .. } => assert_eq!(trace, ctx(0xD00D, 42)),
             other => panic!("wrong variant {other:?}"),
         }

@@ -26,34 +26,19 @@
 use crate::proto::{errkind_code, Request, Response};
 use crate::registry::{Registry, SessionId, SessionView};
 use crate::sched::{DemandEntry, PrefetchEntry, Scheduler};
-use crate::transport::{InProcTransport, Transport};
-use crate::{inproc_pair, proto, BlockReply};
+use crate::{proto, BlockReply};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use viz_core::{AdaptiveSigma, ClientFlight, SigmaController};
 use viz_fetch::{BreakerState, FetchEngine, Ticket};
 use viz_telemetry::stats::RotatingHist;
 use viz_telemetry::{instant, Counter, EventKind as Ev};
 use viz_volume::BlockKey;
-
-/// Which I/O front end drives connections (see [`crate::reactor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One thread per connection, blocking reads. The original model:
-    /// simple, fine up to a few hundred sessions.
-    #[default]
-    Threads,
-    /// One poll-driven event loop for every connection; threads stay
-    /// constant as sessions scale to the thousands.
-    Reactor,
-}
 
 /// Serving policy knobs. `Default` suits tests and small deployments;
 /// the bench stresses the watermarks explicitly.
@@ -81,9 +66,6 @@ pub struct ServeConfig {
     pub demand_deadline: Option<Duration>,
     /// Registry cap; opens past it are refused.
     pub max_sessions: usize,
-    /// Connection front-end model ([`crate::TcpFrontend::bind`] reads
-    /// this to pick between thread-per-connection and the reactor).
-    pub backend: IoBackend,
     /// How many prefetch entries one pump pass hands the engine as a
     /// single batched admission (grouped per session, DRR order kept).
     pub pump_batch: usize,
@@ -102,7 +84,6 @@ impl Default for ServeConfig {
             shed_resident_bytes: 1 << 30,
             demand_deadline: None,
             max_sessions: 1024,
-            backend: IoBackend::Threads,
             pump_batch: 64,
         }
     }
@@ -887,8 +868,9 @@ impl Server {
 /// An admitted frame request: collects the demand outcomes once the pump
 /// has issued them.
 ///
-/// Two consumption styles share this state: the blocking [`Submission::collect`]
-/// (thread-per-connection servers park here) and the incremental
+/// Two consumption styles share this state: the blocking
+/// [`Submission::collect`] (a caller that owns its thread, like a cluster
+/// node's synchronous `serve_frame`, parks here) and the incremental
 /// [`Submission::poll_ready`] (the reactor calls it each loop turn and
 /// never blocks). Polling and then collecting is fine — tickets already
 /// drained by a poll are resolved or parked in `waiting`, and `collect`
@@ -954,7 +936,7 @@ impl Submission {
 
     /// Block until every demand key has an outcome (the engine's workers
     /// resolve the tickets). Requires a [`Server::pump`] to have issued
-    /// the entries; [`serve_connection`] does this.
+    /// the entries.
     pub fn collect(mut self, server: &Server) -> Vec<BlockReply> {
         let deadline = server.cfg.demand_deadline;
         let resolve = |ticket: Ticket| match deadline {
@@ -1023,13 +1005,63 @@ impl Submission {
     }
 }
 
-/// What a decoded request needs next: an immediate reply, or demand
-/// collection after a pump.
+/// What a decoded request needs next: an immediate reply, demand
+/// collection after a pump, or a reply computed on another thread.
 pub enum Outcome {
     /// Reply is ready to send.
     Ready(Response),
     /// A `Fetch` was admitted; pump, then resolve the pending fetch.
     Fetch(PendingFetch),
+    /// A dispatcher's blocking work (storage or peer I/O) runs on its own
+    /// thread; the reply arrives through [`Deferred`].
+    Deferred(Deferred),
+}
+
+/// A reply computed off the front end's thread, so a dispatcher that must
+/// block never stalls the event loop serving every other connection.
+pub struct Deferred {
+    rx: Receiver<Response>,
+    done: Option<Response>,
+}
+
+impl Deferred {
+    /// Run `work` on a new thread. When it finishes, the engine's
+    /// completion hook fires, so a loop parked on the hook picks the
+    /// reply up at once.
+    pub fn spawn(server: &Server, work: impl FnOnce() -> Response + Send + 'static) -> Deferred {
+        let (tx, rx) = channel();
+        let engine = server.engine().clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(work());
+            engine.notify_completion();
+        });
+        Deferred { rx, done: None }
+    }
+
+    /// Non-blocking progress check: `true` once the reply is in.
+    pub fn poll(&mut self) -> bool {
+        if self.done.is_none() {
+            self.done = match self.rx.try_recv() {
+                Ok(r) => Some(r),
+                Err(std::sync::mpsc::TryRecvError::Empty) => None,
+                Err(std::sync::mpsc::TryRecvError::Disconnected) => Some(Self::lost()),
+            };
+        }
+        self.done.is_some()
+    }
+
+    /// The reply, blocking until the work finishes.
+    pub fn wait(self) -> Response {
+        match self.done {
+            Some(r) => r,
+            None => self.rx.recv().unwrap_or_else(|_| Self::lost()),
+        }
+    }
+
+    /// The reply when the work panicked before sending one.
+    fn lost() -> Response {
+        Response::Error { code: proto::ERR_PROTO, message: "deferred reply lost".to_string() }
+    }
 }
 
 /// An admitted `Fetch` awaiting its demand outcomes.
@@ -1064,7 +1096,7 @@ impl PendingFetch {
         });
     }
 
-    /// Block until the reply is complete (threaded servers).
+    /// Block until the reply is complete (callers that own their thread).
     pub fn wait(self, server: &Server) -> Response {
         let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
         let (t0, tag, trace) = (self.t0, self.tag, self.trace);
@@ -1073,7 +1105,8 @@ impl PendingFetch {
         Response::FetchReply { session: self.session, blocks, shed, downgraded }
     }
 
-    /// Resolve from whatever is ready (deterministic stepper).
+    /// Resolve from whatever is ready (the reactor, once
+    /// [`PendingFetch::poll`] reports the reply complete).
     pub fn resolve_now(self, server: &Server) -> Response {
         let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
         let (t0, tag, trace) = (self.t0, self.tag, self.trace);
@@ -1084,8 +1117,7 @@ impl PendingFetch {
 
     /// Resolve at a missed demand deadline: unresolved keys report
     /// `TimedOut` (their reads stay in flight and land in the pool for a
-    /// later frame — same degraded-frame contract as the thread model's
-    /// per-ticket deadline).
+    /// later frame — degraded, not dropped).
     pub fn resolve_timed_out(self, server: &Server) -> Response {
         let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
         let (t0, tag, trace) = (self.t0, self.tag, self.trace);
@@ -1096,7 +1128,7 @@ impl PendingFetch {
 }
 
 /// Dispatch one decoded request against a server. Requests carrying a
-/// v2 trace context run with the thread's trace context set to it, so
+/// trace context run with the thread's trace context set to it, so
 /// everything recorded during admission — and, via [`DemandEntry`], the
 /// engine work pumped later — is attributed to the originating client
 /// request.
@@ -1192,7 +1224,9 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
 /// `MapGet`, `PeerFetch`, ownership-partitioned `Fetch` — while passing
 /// everything else to [`handle_request`]. One dispatcher is shared by
 /// every connection of a front end, so implementations hold their own
-/// state behind `Arc`s.
+/// state behind `Arc`s. Dispatch runs on the front end's event-loop
+/// thread, so work that can block (storage or peer I/O) belongs in an
+/// [`Outcome::Deferred`].
 pub trait RequestDispatch: Send + Sync {
     /// Dispatch one decoded request against `server`.
     fn dispatch(&self, server: &Arc<Server>, req: Request) -> Outcome;
@@ -1205,274 +1239,5 @@ pub struct DefaultDispatch;
 impl RequestDispatch for DefaultDispatch {
     fn dispatch(&self, server: &Arc<Server>, req: Request) -> Outcome {
         handle_request(server, req)
-    }
-}
-
-/// Serve one connection until the peer disconnects: decode → dispatch →
-/// pump → reply. Malformed frames answer with a typed `Error` response
-/// and the connection stays up; sessions opened on this connection are
-/// closed when it ends.
-pub fn serve_connection<T: Transport>(server: &Arc<Server>, t: T) {
-    serve_connection_with(server, &DefaultDispatch, t);
-}
-
-/// [`serve_connection`] with a custom [`RequestDispatch`] — the cluster
-/// node's TCP front end routes every decoded request through its
-/// ownership logic this way.
-pub fn serve_connection_with<T: Transport>(
-    server: &Arc<Server>,
-    dispatch: &dyn RequestDispatch,
-    mut t: T,
-) {
-    let mut owned: Vec<SessionId> = Vec::new();
-    while let Ok(frame) = t.recv() {
-        // Answer at the version the request claimed so a v1 client keeps
-        // decoding replies from a v2 server.
-        let mut ver = proto::PROTO_VERSION;
-        let resp = match proto::decode_request_full(&frame) {
-            Ok((v, req)) => {
-                ver = v;
-                match dispatch.dispatch(server, req) {
-                    Outcome::Ready(r) => r,
-                    Outcome::Fetch(p) => {
-                        server.pump();
-                        p.wait(server)
-                    }
-                }
-            }
-            Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
-        };
-        match &resp {
-            Response::OpenAck { session } => owned.push(SessionId(*session)),
-            Response::CloseAck { session } => owned.retain(|s| s.0 != *session),
-            _ => {}
-        }
-        if t.send(&proto::encode_response_versioned(&resp, ver)).is_err() {
-            break;
-        }
-        server.pump();
-    }
-    for id in owned {
-        server.close_session(id);
-    }
-}
-
-/// A live TCP connection: the accept-side stream handle (kept so
-/// shutdown can force the socket closed) and its handler thread.
-type TcpConns = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
-
-/// A localhost TCP front end: accept thread + one thread per connection.
-pub struct TcpServer {
-    server: Arc<Server>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: TcpConns,
-}
-
-impl TcpServer {
-    /// Bind and start accepting. Use `"127.0.0.1:0"` to let the OS pick
-    /// a port; read it back via [`TcpServer::local_addr`].
-    pub fn bind(server: Arc<Server>, addr: &str) -> io::Result<TcpServer> {
-        TcpServer::bind_with(server, Arc::new(DefaultDispatch), addr)
-    }
-
-    /// [`TcpServer::bind`] with a custom [`RequestDispatch`] shared by
-    /// every accepted connection (how a cluster node exposes its
-    /// ownership routing over TCP).
-    pub fn bind_with(
-        server: Arc<Server>,
-        dispatch: Arc<dyn RequestDispatch>,
-        addr: &str,
-    ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: TcpConns = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let server = server.clone();
-            let stop = stop.clone();
-            let conns = conns.clone();
-            std::thread::spawn(move || {
-                while let Ok((stream, _)) = listener.accept() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let peer = match stream.try_clone() {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    let server = server.clone();
-                    let dispatch = dispatch.clone();
-                    let handle = std::thread::spawn(move || {
-                        serve_connection_with(
-                            &server,
-                            &*dispatch,
-                            crate::TcpTransport::new(stream),
-                        );
-                    });
-                    relock(&conns).push((peer, handle));
-                }
-            })
-        };
-        Ok(TcpServer { server, addr: local, stop, accept: Some(accept), conns })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The served [`Server`].
-    pub fn server(&self) -> &Arc<Server> {
-        &self.server
-    }
-
-    /// Stop accepting, close remaining connections, and drain.
-    pub fn shutdown(mut self) -> DrainReport {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept thread with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *relock(&self.conns));
-        for (stream, handle) in conns {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            let _ = handle.join();
-        }
-        self.server.drain()
-    }
-}
-
-/// Deterministic in-process front end: the test owns every step. Each
-/// [`InProcServer::connect`] yields the client end of a frame pipe;
-/// `poll` decodes at most one request per connection (preserving
-/// request→reply ordering), `step` pumps the scheduler and runs the
-/// `workers = 0` engine to idle, `flush` sends the completed replies.
-pub struct InProcServer {
-    server: Arc<Server>,
-    conns: Vec<InProcConn>,
-}
-
-struct InProcConn {
-    t: InProcTransport,
-    owned: Vec<SessionId>,
-    pending: Option<PendingFetch>,
-    dead: bool,
-}
-
-impl InProcServer {
-    /// Wrap a server (typically over [`FetchEngine::deterministic`]).
-    pub fn new(server: Arc<Server>) -> InProcServer {
-        InProcServer { server, conns: Vec::new() }
-    }
-
-    /// The served [`Server`].
-    pub fn server(&self) -> &Arc<Server> {
-        &self.server
-    }
-
-    /// Open a new connection; returns the client end.
-    pub fn connect(&mut self) -> InProcTransport {
-        let (client, server_end) = inproc_pair();
-        self.conns.push(InProcConn {
-            t: server_end,
-            owned: Vec::new(),
-            pending: None,
-            dead: false,
-        });
-        client
-    }
-
-    /// Decode and dispatch at most one waiting request per connection.
-    /// Immediate replies go out now; admitted fetches park until
-    /// [`InProcServer::flush`]. Returns requests processed.
-    pub fn poll(&mut self) -> usize {
-        let mut processed = 0;
-        for conn in &mut self.conns {
-            if conn.dead || conn.pending.is_some() {
-                continue;
-            }
-            let frame = match conn.t.try_recv() {
-                Ok(Some(f)) => f,
-                Ok(None) => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    continue;
-                }
-            };
-            processed += 1;
-            let resp = match proto::decode_request(&frame) {
-                Ok(req) => match handle_request(&self.server, req) {
-                    Outcome::Ready(r) => r,
-                    Outcome::Fetch(p) => {
-                        conn.pending = Some(p);
-                        continue;
-                    }
-                },
-                Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
-            };
-            match &resp {
-                Response::OpenAck { session } => conn.owned.push(SessionId(*session)),
-                Response::CloseAck { session } => conn.owned.retain(|s| s.0 != *session),
-                _ => {}
-            }
-            if conn.t.send(&proto::encode_response(&resp)).is_err() {
-                conn.dead = true;
-            }
-        }
-        self.reap();
-        processed
-    }
-
-    /// Pump the scheduler into the engine and run the inline engine to
-    /// idle. Returns jobs the engine executed.
-    pub fn step(&mut self) -> usize {
-        self.server.pump();
-        self.server.engine().run_until_idle()
-    }
-
-    /// Resolve parked fetches from the now-idle engine and send their
-    /// replies. Returns replies sent.
-    pub fn flush(&mut self) -> usize {
-        let mut sent = 0;
-        for conn in &mut self.conns {
-            let Some(p) = conn.pending.take() else { continue };
-            let resp = p.resolve_now(&self.server);
-            if conn.t.send(&proto::encode_response(&resp)).is_err() {
-                conn.dead = true;
-            } else {
-                sent += 1;
-            }
-        }
-        self.reap();
-        sent
-    }
-
-    /// Convenience: poll + step + flush until no progress is made.
-    pub fn tick(&mut self) {
-        loop {
-            let polled = self.poll();
-            let stepped = self.step();
-            let flushed = self.flush();
-            if polled == 0 && stepped == 0 && flushed == 0 {
-                break;
-            }
-        }
-    }
-
-    fn reap(&mut self) {
-        let server = &self.server;
-        self.conns.retain_mut(|c| {
-            if c.dead {
-                for id in c.owned.drain(..) {
-                    server.close_session(id);
-                }
-                false
-            } else {
-                true
-            }
-        });
     }
 }

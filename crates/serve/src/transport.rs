@@ -5,8 +5,9 @@
 //! [`crate::proto::encode_request`] / [`crate::proto::encode_response`],
 //! including the 8-byte length + CRC header) in both directions. The
 //! in-process pair is two bounded-by-nothing mpsc channels — sends never
-//! block, receives can poll — which is what the `workers = 0` stepper
-//! tests need: every interleaving is chosen by the test, not the kernel.
+//! block, receives can poll — which is what the `workers = 0`
+//! [`crate::InProcServer`] tests need: every interleaving is chosen by
+//! the test, not the kernel.
 
 use crate::proto::{frame_body_len, ProtoError};
 use std::io::{self, Read, Write};
@@ -57,7 +58,7 @@ pub fn inproc_pair() -> (InProcTransport, InProcTransport) {
 impl InProcTransport {
     /// Install a readiness hook: `f` runs after every successful send,
     /// so a poll-driven peer can learn a frame is waiting without
-    /// sleeping. The reactor back end marks a
+    /// sleeping. [`crate::InProcServer`] marks a
     /// [`viz_fetch::ReadySet`] token here — this is what makes the
     /// in-process pipe a virtual-readiness transport.
     pub fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
@@ -102,7 +103,7 @@ impl TcpTransport {
         TcpTransport { stream }
     }
 
-    /// Connect to a listening [`crate::server::TcpServer`].
+    /// Connect to a listening [`crate::TcpServer`].
     pub fn connect(addr: &str) -> io::Result<Self> {
         Ok(TcpTransport { stream: TcpStream::connect(addr)? })
     }

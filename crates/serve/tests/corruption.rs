@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
-use viz_serve::proto::{
-    encode_request, encode_request_versioned, ERR_PROTO, ERR_VERSION, MAGIC, PROTO_VERSION,
-};
+use viz_serve::proto::{encode_request, ERR_PROTO, ERR_VERSION, MAGIC, PROTO_VERSION};
 use viz_serve::{InProcServer, Request, Response, ServeClient, ServeConfig, Server};
 use viz_volume::{crc32, BlockId, BlockKey, MemBlockStore};
 
@@ -94,15 +92,20 @@ fn unknown_tag_is_rejected() {
 #[test]
 fn version_skew_answers_err_version_and_keeps_the_connection() {
     let (mut s, mut c) = serve();
-    // A client one protocol version ahead greets today's server.
-    let future = encode_request_versioned(
-        &Request::Open { name: "from-the-future".into() },
-        PROTO_VERSION + 1,
-    );
-    c.send_raw(&future).unwrap();
-    s.tick();
-    let msg = expect_error(&mut c, ERR_VERSION);
-    assert!(msg.contains("version"), "{msg}");
+    // Clients one protocol version behind and one ahead greet today's
+    // server: the server speaks exactly one version.
+    for version in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+        // Claim `version` in the body, then re-seal the frame so only
+        // the version is wrong.
+        let mut skewed = encode_request(&Request::Open { name: "skewed".into() });
+        skewed[12..14].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&skewed[8..]);
+        skewed[4..8].copy_from_slice(&crc.to_le_bytes());
+        c.send_raw(&skewed).unwrap();
+        s.tick();
+        let msg = expect_error(&mut c, ERR_VERSION);
+        assert!(msg.contains("version"), "{msg}");
+    }
 
     // Downgrading to the supported version works on the same connection.
     c.send_open("downgraded").unwrap();

@@ -1,5 +1,5 @@
 //! Deterministic multi-client serving: `workers = 0`, every interleaving
-//! chosen by the test via the [`InProcServer`] stepper.
+//! chosen by the test via [`InProcServer::tick`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,13 +42,13 @@ fn two_clients_same_key_is_one_source_read() {
     let sb = b.recv_open().unwrap();
     assert_ne!(sa, sb);
 
-    // Both demand the same key before the engine runs: the second request
-    // must coalesce onto the first's in-flight read.
+    // Both demand the same key before the engine runs: a tick dispatches
+    // every ready connection before it steps the engine, so the second
+    // request must coalesce onto the first's in-flight read. Work done:
+    // two requests, one engine job, two replies.
     a.send_fetch(0, vec![key(3)], vec![]).unwrap();
     b.send_fetch(0, vec![key(3)], vec![]).unwrap();
-    assert_eq!(inproc.poll(), 2, "both requests decoded before any engine work");
-    inproc.step();
-    assert_eq!(inproc.flush(), 2);
+    assert_eq!(inproc.tick(), 5, "both requests decoded before any engine work");
 
     let ra = a.recv_fetch().unwrap();
     let rb = b.recv_fetch().unwrap();
@@ -287,7 +287,10 @@ fn disconnecting_a_client_closes_its_sessions() {
     a.recv_open().unwrap();
     assert_eq!(server.sessions().len(), 1);
 
+    // A dropped pipe is seen when the loop probes it, as `poll(2)`
+    // reports a hangup.
     drop(a);
+    inproc.sweep();
     inproc.tick();
     assert_eq!(server.sessions().len(), 0, "owned session closed on disconnect");
     assert_eq!(server.metrics().sessions_closed, 1);

@@ -1,8 +1,8 @@
 //! Deterministic 1 000-session churn soak over the in-process reactor.
 //!
 //! Everything runs on one thread, on a virtual clock, through
-//! [`ReactorInProcServer`] — the same dispatch/park/unpark/expire state
-//! machine the TCP reactor runs, minus the kernel. A thousand live
+//! [`InProcServer`] — the same dispatch/park/unpark/expire state
+//! machine the TCP front end runs, minus the kernel. A thousand live
 //! sessions churn for several rounds (each round: every client fetches,
 //! a cohort leaves — some politely, some by vanishing — and a new cohort
 //! joins) while the suite asserts the invariants the reactor exists to
@@ -19,9 +19,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
-use viz_serve::{
-    InProcTransport, IoBackend, ReactorInProcServer, ServeClient, ServeConfig, Server,
-};
+use viz_serve::{InProcServer, InProcTransport, ServeClient, ServeConfig, Server};
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
 const DISTINCT_KEYS: u32 = 256;
@@ -33,7 +31,7 @@ fn key(i: u32) -> BlockKey {
     BlockKey::scalar(BlockId(i % DISTINCT_KEYS))
 }
 
-fn soak_server() -> ReactorInProcServer {
+fn soak_server() -> InProcServer {
     let store = MemBlockStore::new();
     for i in 0..DISTINCT_KEYS {
         store.insert(key(i), vec![i as f32; 16]);
@@ -47,7 +45,6 @@ fn soak_server() -> ReactorInProcServer {
     let server = Server::new(
         Arc::new(engine),
         ServeConfig {
-            backend: IoBackend::Reactor,
             max_sessions: SESSIONS + CHURN + 1,
             engine_queue_target: 8 * 1024,
             shed_queue_depth: 64 * 1024,
@@ -56,7 +53,7 @@ fn soak_server() -> ReactorInProcServer {
             ..ServeConfig::default()
         },
     );
-    ReactorInProcServer::new(server)
+    InProcServer::new(server)
 }
 
 struct SoakClient {
@@ -66,11 +63,7 @@ struct SoakClient {
 
 /// Open `n` fresh sessions (pipelined: all sends, one tick, all acks),
 /// recording ids in `seen` and asserting none was ever handed out before.
-fn open_cohort(
-    reactor: &mut ReactorInProcServer,
-    n: usize,
-    seen: &mut HashSet<u32>,
-) -> Vec<SoakClient> {
+fn open_cohort(reactor: &mut InProcServer, n: usize, seen: &mut HashSet<u32>) -> Vec<SoakClient> {
     let mut cohort: Vec<SoakClient> = (0..n)
         .map(|i| SoakClient {
             client: ServeClient::new(reactor.connect()),
