@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the performance-critical primitives: entropy
 //! computation, visibility testing, T_visible construction, nearest-sample
-//! lookup, and cache-policy operations.
+//! lookup, cache-policy operations, and the integrity and payload codecs a
+//! served block crosses (CRC-32, VSRV `FetchReply` frames, `VBLK` block
+//! frames).
 //!
 //! `cargo bench -p viz-bench --bench micro [FILTER]`; each line is the
 //! median time per call ± its MAD (see `viz_bench::timing`).
@@ -152,6 +154,56 @@ fn bench_codec() {
     }
 }
 
+fn bench_checksum() {
+    for (name, n) in [("4KiB", 4 << 10), ("32KiB", 32 << 10), ("6MiB", 6 << 20)] {
+        let data: Vec<u8> =
+            (0..n).map(|i: usize| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
+        bench(&format!("checksum/crc32/{name}"), RUNS, || viz_volume::crc32(black_box(&data)));
+    }
+}
+
+/// Voxels in a 32 KB block (32 x 16 x 16 f32), the block size the served
+/// benchmark paths move.
+const BLOCK_VOXELS: usize = 8192;
+
+fn block_payload(seed: usize) -> Vec<f32> {
+    (0..BLOCK_VOXELS).map(|i| ((i * 31 + seed * 7) % 1000) as f32 * 1e-3).collect()
+}
+
+fn bench_proto() {
+    use std::sync::Arc;
+    use viz_serve::proto::{decode_response, encode_response, BlockReply, Response};
+    use viz_volume::{BlockId, BlockKey};
+    for blocks in [1usize, 64, 200] {
+        let reply = Response::FetchReply {
+            session: 1,
+            blocks: (0..blocks)
+                .map(|i| BlockReply {
+                    key: BlockKey::scalar(BlockId(i as u32)),
+                    result: Ok(Arc::new(block_payload(i))),
+                })
+                .collect(),
+            shed: 0,
+            downgraded: 0,
+        };
+        bench(&format!("proto/fetch_reply_encode/{blocks}x32KB"), RUNS, || {
+            encode_response(black_box(&reply))
+        });
+        let frame = encode_response(&reply);
+        bench(&format!("proto/fetch_reply_decode/{blocks}x32KB"), RUNS, || {
+            decode_response(black_box(&frame)).expect("well-formed frame")
+        });
+    }
+}
+
+fn bench_store() {
+    use viz_volume::store::{decode_block, encode_block};
+    let frame = encode_block(Dims3::new(32, 16, 16), &block_payload(0));
+    bench("store/decode_block/32KB", RUNS, || {
+        decode_block(black_box(&frame)).expect("valid frame")
+    });
+}
+
 fn bench_reuse_profile() {
     use viz_core::ReuseProfile;
     let trace: Vec<u32> = (0..20_000u32).map(|i| (i * 2654435761) % 512).collect();
@@ -159,6 +211,9 @@ fn bench_reuse_profile() {
 }
 
 fn main() {
+    bench_checksum();
+    bench_proto();
+    bench_store();
     bench_codec();
     bench_reuse_profile();
     bench_entropy();

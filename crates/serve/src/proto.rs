@@ -36,6 +36,7 @@ use std::fmt;
 use std::io;
 use std::sync::Arc;
 use viz_telemetry::{EventKind, TraceEvent};
+use viz_volume::checksum::{f32s_from_le, put_f32s_le};
 use viz_volume::{crc32, BlockId, BlockKey};
 
 /// Frame magic, first four body bytes.
@@ -489,10 +490,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn key(&mut self) -> Result<BlockKey, ProtoError> {
         Ok(BlockKey::new(self.u16()?, self.u16()?, BlockId(self.u32()?)))
     }
@@ -725,6 +722,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::FetchReply { session, blocks, shed, downgraded } => {
             b = body_header(TAG_FETCH_REPLY);
+            // Reserve the whole frame once: multi-MB replies would
+            // otherwise grow the buffer by doubling.
+            let per_block = |br: &BlockReply| match &br.result {
+                Ok(data) => 8 + 1 + 4 + data.len() * 4,
+                Err(_) => 8 + 1 + 2,
+            };
+            b.reserve_exact(16 + blocks.iter().map(per_block).sum::<usize>());
             put_u32(&mut b, *session);
             put_u32(&mut b, *shed);
             put_u32(&mut b, *downgraded);
@@ -735,9 +739,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     Ok(data) => {
                         b.push(0);
                         put_u32(&mut b, data.len() as u32);
-                        for &v in data.iter() {
-                            b.extend_from_slice(&v.to_le_bytes());
-                        }
+                        put_f32s_le(&mut b, data);
                     }
                     Err(code) => {
                         b.push(1);
@@ -837,11 +839,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
                     0 => {
                         let len = r.u32()?;
                         let len = r.count(len, 4)?;
-                        let mut data = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            data.push(r.f32()?);
-                        }
-                        Ok(Arc::new(data))
+                        Ok(Arc::new(f32s_from_le(r.take(len * 4)?)))
                     }
                     1 => Err(r.u16()?),
                     _ => return Err(ProtoError::Malformed("bad block status byte")),
@@ -1091,6 +1089,85 @@ mod tests {
         let mut crc_flip = frame.clone();
         crc_flip[5] ^= 0x10;
         assert!(matches!(decode_request(&crc_flip).unwrap_err(), ProtoError::BadCrc { .. }));
+    }
+
+    /// A seeded `FetchReply` mixing payloads (some empty) and failures.
+    fn random_fetch_reply(g: &mut viz_geom::rng::SplitMix64, max_blocks: u64) -> Response {
+        let blocks = (0..g.below(max_blocks + 1))
+            .map(|i| {
+                let result = match g.below(3) {
+                    0 => Err(g.below(6) as u16),
+                    1 => Ok(Arc::new(Vec::new())),
+                    _ => Ok(Arc::new(
+                        (0..g.below(300)).map(|_| f32::from_bits(g.next_u64() as u32)).collect(),
+                    )),
+                };
+                BlockReply { key: BlockKey::new(g.below(4) as u16, 0, BlockId(i as u32)), result }
+            })
+            .collect();
+        Response::FetchReply {
+            session: g.next_u64() as u32,
+            blocks,
+            shed: g.below(100) as u32,
+            downgraded: g.below(100) as u32,
+        }
+    }
+
+    /// Bit patterns of a reply's payloads: `PartialEq` on `f32` would
+    /// call two NaNs different and `0.0`/`-0.0` equal.
+    fn payload_bits(resp: &Response) -> Vec<Result<Vec<u32>, u16>> {
+        match resp {
+            Response::FetchReply { blocks, .. } => blocks
+                .iter()
+                .map(|b| b.result.as_ref().map(|d| d.iter().map(|v| v.to_bits()).collect()))
+                .map(|r| r.map_err(|&code| code))
+                .collect(),
+            other => panic!("not a FetchReply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fetch_reply_with_mixed_payloads_roundtrips_exactly() {
+        viz_geom::rng::check(64, |g| {
+            let resp = random_fetch_reply(g, 24);
+            let frame = encode_response(&resp);
+            let back = decode_response(&frame).unwrap();
+            assert_eq!(payload_bits(&back), payload_bits(&resp));
+            let strip = |r: &Response| match r {
+                Response::FetchReply { session, blocks, shed, downgraded } => {
+                    (*session, blocks.iter().map(|b| b.key).collect::<Vec<_>>(), *shed, *downgraded)
+                }
+                other => panic!("not a FetchReply: {other:?}"),
+            };
+            assert_eq!(strip(&back), strip(&resp));
+            // Past the header's small default buffer the reservation is
+            // exact: no doubling, no slack.
+            assert_eq!(frame.capacity(), frame.len().max(64));
+        });
+    }
+
+    #[test]
+    fn truncated_fetch_reply_is_typed_at_every_boundary() {
+        viz_geom::rng::check(8, |g| {
+            let frame = encode_response(&random_fetch_reply(g, 4));
+            for cut in 0..frame.len() {
+                assert!(
+                    matches!(decode_response(&frame[..cut]), Err(ProtoError::Truncated { .. })),
+                    "cut at {cut} of {}",
+                    frame.len()
+                );
+                // Re-seal the shortened body so the length prefix and crc
+                // agree with it: only the payload is truncated now.
+                if cut >= 8 {
+                    let mut short = frame[..cut].to_vec();
+                    let len = (cut - 8) as u32;
+                    short[0..4].copy_from_slice(&len.to_le_bytes());
+                    let crc = crc32(&short[8..]);
+                    short[4..8].copy_from_slice(&crc.to_le_bytes());
+                    assert!(decode_response(&short).is_err(), "resealed cut at {cut}");
+                }
+            }
+        });
     }
 
     #[test]

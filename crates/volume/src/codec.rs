@@ -10,6 +10,8 @@
 //! The paper's cost model charges I/O by bytes moved, so compressed blocks
 //! directly shrink simulated (and real) fetch times for ambient regions.
 
+use crate::checksum::{f32s_from_le, put_f32s_le};
+
 /// Available block codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
@@ -56,18 +58,16 @@ impl Codec {
 }
 
 fn raw_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    put_f32s_le(&mut out, data);
     out
 }
 
 fn raw_floats(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
-    if bytes.len() != count * 4 {
-        return Err(format!("raw payload length {} != {}", bytes.len(), count * 4));
+    if count.checked_mul(4) != Some(bytes.len()) {
+        return Err(format!("raw payload length {} != 4 x {count}", bytes.len()));
     }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    Ok(f32s_from_le(bytes))
 }
 
 /// RLE of one byte plane: pairs `(run_len_u8, value)`, runs capped at 255.

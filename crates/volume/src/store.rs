@@ -5,10 +5,12 @@
 //! file (magic + dims + CRC-32 + f32 payload), written once during
 //! pre-processing and random-accessed during visualization. The checksum
 //! turns on-disk bit-rot into an `InvalidData` error at decode time instead
-//! of NaN frames downstream; pre-checksum v1/v2 frames still decode. An
-//! in-memory implementation backs tests and pure simulations.
+//! of NaN frames downstream. Two frame versions exist, raw (v3) and
+//! codec-compressed (v4), both checksummed; the pre-checksum v1/v2 frames
+//! are no longer read. An in-memory implementation backs tests and pure
+//! simulations.
 
-use crate::checksum::{ReadLe, WriteLe};
+use crate::checksum::{f32s_from_le, put_f32s_le, ReadLe, WriteLe};
 use crate::dims::Dims3;
 use crate::field::VolumeField;
 use crate::layout::{BlockId, BrickLayout};
@@ -64,8 +66,6 @@ pub trait BlockSource: Send + Sync {
 }
 
 const MAGIC: &[u8; 4] = b"VBLK";
-const VERSION: u16 = 1;
-const VERSION_CODEC: u16 = 2;
 const VERSION_CRC: u16 = 3;
 const VERSION_CODEC_CRC: u16 = 4;
 
@@ -82,9 +82,7 @@ pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
     buf.put_u32_le(dims.nz as u32);
     let crc_at = buf.len();
     buf.put_u32_le(0); // crc placeholder
-    for &v in data {
-        buf.put_f32_le(v);
-    }
+    put_f32s_le(&mut buf, data);
     let crc = crate::checksum::crc32(&buf[crc_at + 4..]);
     buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
     buf
@@ -92,7 +90,7 @@ pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
 
 /// Serialize with an explicit codec (v4 frame: codec tag + length-prefixed
 /// compressed payload + CRC-32 of the compressed bytes). [`decode_block`]
-/// reads every frame version, including the pre-checksum v1/v2.
+/// reads both this and the raw v3 frame.
 pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) -> Vec<u8> {
     assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
     let payload = codec.compress(data);
@@ -109,6 +107,19 @@ pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) 
     buf
 }
 
+/// Read a frame's three `u32` extents and their voxel count, rejecting
+/// extents whose payload size would overflow `usize`.
+fn read_dims(buf: &mut &[u8]) -> io::Result<(Dims3, usize)> {
+    let (nx, ny, nz) =
+        (buf.get_u32_le() as usize, buf.get_u32_le() as usize, buf.get_u32_le() as usize);
+    let count = nx
+        .checked_mul(ny)
+        .and_then(|n| n.checked_mul(nz))
+        .filter(|n| n.checked_mul(4).is_some())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "block dims overflow"))?;
+    Ok((Dims3::new(nx, ny, nz), count))
+}
+
 /// Parse a frame produced by [`encode_block`] or [`encode_block_with`].
 pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
     let err = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
@@ -121,61 +132,43 @@ pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
         return Err(err("bad magic".into()));
     }
     let version = buf.get_u16_le();
+    let verify_crc = |payload: &[u8], want: u32| {
+        let got = crate::checksum::crc32(payload);
+        if got == want {
+            Ok(())
+        } else {
+            Err(err(format!(
+                "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+            )))
+        }
+    };
     match version {
-        VERSION | VERSION_CRC => {
-            let dims = Dims3::new(
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-            );
-            if version == VERSION_CRC {
-                if buf.remaining() < 4 {
-                    return Err(err("crc frame too short".into()));
-                }
-                let want = buf.get_u32_le();
-                let got = crate::checksum::crc32(buf);
-                if got != want {
-                    return Err(err(format!(
-                        "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                    )));
-                }
+        VERSION_CRC => {
+            if buf.remaining() < 12 + 4 {
+                return Err(err("crc frame too short".into()));
             }
-            let n = dims.count();
-            if buf.remaining() != n * 4 {
+            let (dims, count) = read_dims(&mut buf)?;
+            let want = buf.get_u32_le();
+            verify_crc(buf, want)?;
+            if count * 4 != buf.remaining() {
                 return Err(err("payload length mismatch".into()));
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f32_le());
-            }
-            Ok((dims, data))
+            Ok((dims, f32s_from_le(buf)))
         }
-        VERSION_CODEC | VERSION_CODEC_CRC => {
-            let crc_len = if version == VERSION_CODEC_CRC { 4 } else { 0 };
-            if buf.remaining() < 1 + 12 + 4 + crc_len {
+        VERSION_CODEC_CRC => {
+            if buf.remaining() < 1 + 12 + 4 + 4 {
                 return Err(err("codec frame too short".into()));
             }
             let codec = crate::codec::Codec::from_tag(buf.get_u8())
                 .ok_or_else(|| err("unknown codec tag".into()))?;
-            let dims = Dims3::new(
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-            );
+            let (dims, count) = read_dims(&mut buf)?;
             let len = buf.get_u32_le() as usize;
-            let want = (version == VERSION_CODEC_CRC).then(|| buf.get_u32_le());
+            let want = buf.get_u32_le();
             if buf.remaining() != len {
                 return Err(err("compressed payload length mismatch".into()));
             }
-            if let Some(want) = want {
-                let got = crate::checksum::crc32(&buf[..len]);
-                if got != want {
-                    return Err(err(format!(
-                        "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                    )));
-                }
-            }
-            let data = codec.decompress(&buf[..len], dims.count()).map_err(err)?;
+            verify_crc(buf, want)?;
+            let data = codec.decompress(buf, count).map_err(err)?;
             Ok((dims, data))
         }
         _ => Err(err("unsupported block version".into())),
@@ -648,21 +641,46 @@ mod tests {
     }
 
     #[test]
-    fn pre_checksum_v1_frames_still_decode() {
-        // Hand-build a v1 frame (no crc) the way old stores wrote it.
+    fn pre_checksum_v1_and_v2_frames_are_unsupported() {
+        // Hand-build the frames old stores wrote before the checksum:
+        // v1 (raw, no crc) and v2 (codec tag + length, no crc).
         let data = [1.5f32, -2.0, 3.25];
+        let mut v1 = Vec::new();
+        v1.put_slice(MAGIC);
+        v1.put_u16_le(1);
+        for n in [3, 1, 1] {
+            v1.put_u32_le(n);
+        }
+        put_f32s_le(&mut v1, &data);
+        let payload = crate::codec::Codec::Raw.compress(&data);
+        let mut v2 = Vec::new();
+        v2.put_slice(MAGIC);
+        v2.put_u16_le(2);
+        v2.put_u8(crate::codec::Codec::Raw.tag());
+        for n in [3, 1, 1, payload.len() as u32] {
+            v2.put_u32_le(n);
+        }
+        v2.put_slice(&payload);
+        for frame in [v1, v2] {
+            let err = decode_block(&frame).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "unsupported block version");
+        }
+    }
+
+    #[test]
+    fn raw_frame_with_overflowing_dims_is_rejected() {
+        // A self-consistent frame (valid crc) whose dims overflow the
+        // voxel count must fail the length check, not wrap past it.
         let mut buf = Vec::new();
         buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(3);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
-        for &v in &data {
-            buf.put_f32_le(v);
+        buf.put_u16_le(VERSION_CRC);
+        for n in [u32::MAX, u32::MAX, 4] {
+            buf.put_u32_le(n);
         }
-        let (dims, got) = decode_block(&buf).unwrap();
-        assert_eq!(dims, Dims3::new(3, 1, 1));
-        assert_eq!(got, data);
+        buf.put_u32_le(crate::checksum::crc32(&[]));
+        let err = decode_block(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
